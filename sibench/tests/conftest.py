@@ -1,0 +1,8 @@
+"""Make the system under test importable: ``python3 -m pytest sibench/tests``."""
+
+import sys
+from pathlib import Path
+
+SOURCE = str(Path(__file__).resolve().parents[2] / "src")
+if SOURCE not in sys.path:
+    sys.path.insert(0, SOURCE)
