@@ -38,7 +38,7 @@ def baseline():
 
 
 def test_baseline_schema(baseline):
-    assert baseline["schema"] == 7
+    assert baseline["schema"] == 8
     assert baseline["kernel"]["events_per_sec"] > 0
     # Schema 5: per-scheduler dispatch numbers and the scaleup-95-5 leg.
     dispatch = baseline["kernel"]["dispatch"]
@@ -80,18 +80,19 @@ def test_baseline_schema(baseline):
     # Schema 4: the rewritten per-key completeness pass must at least
     # break even with the legacy replay (it previously lagged at 0.83x).
     assert checkers["speedup"]["completeness"] >= 1
-    # Schema 4: parallel refresh vs FIFO pool.  These legs run in
-    # virtual time, so the recorded numbers are deterministic and the
-    # acceptance bars can be asserted exactly: >= 3x apply throughput
-    # at 8 workers on the 95/5 mix, and strictly lower replication lag
-    # at every worker count >= 2 on both mixes.
+    # Schema 4: parallel refresh vs the FIFO refresher (one baseline
+    # per mix since schema 8).  These legs run in virtual time, so the
+    # recorded numbers are deterministic and the acceptance bars can be
+    # asserted exactly: >= 3x apply throughput at 8 workers on the 95/5
+    # mix, and strictly lower replication lag at every worker count
+    # >= 2 on both mixes.
     parallel = baseline["parallel_refresh"]
     assert set(parallel["mixes"]) == {"80/20", "95/5"}
     assert parallel["workers"] == [1, 2, 4, 8]
     assert parallel["mixes"]["95/5"]["throughput_speedup_at_8"] >= 3.0
     for mix_stats in parallel["mixes"].values():
+        fifo = mix_stats["fifo"]
         for workers in ("2", "4", "8"):
-            fifo = mix_stats["fifo"][workers]
             par = mix_stats["parallel"][workers]
             assert par["mean_lag"] < fifo["mean_lag"]
             assert par["apply_throughput"] > fifo["apply_throughput"]

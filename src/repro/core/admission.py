@@ -181,7 +181,7 @@ class TokenBucket:
 
     ``rate_scale`` lets the admission controller brownout refill without
     mutating the configured rate.  Purely arithmetic — no kernel events,
-    no RNG draws — so the simulation model shares it.
+    no RNG draws.
     """
 
     def __init__(self, rate: float, burst: float):

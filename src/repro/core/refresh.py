@@ -19,22 +19,12 @@ batching propagator) is unpacked in place: its records are processed in
 log order exactly as if they had arrived individually, but the whole
 frame cost only one delivery event.
 
-Multiple applicators run concurrently, which is the whole point: the
-refresher exploits the local SI concurrency control instead of replaying
-the log serially (the ablation benchmark quantifies the difference).
-
-Applicator pooling
-------------------
-By default every commit record forks a fresh kernel process (the paper's
-"spawn an applicator thread" reading, kept bit-identical for existing
-runs).  With ``pool_size`` set, a fixed pool of reusable applicator
-worker processes drains a FIFO work queue instead — no per-commit process
-creation — and pending-queue transitions are signalled through a
-*coalesced* notify (at most one ``notify_all`` per virtual instant no
-matter how many refreshes commit in it).  Relationships 1-3 are
-unaffected: the work queue is FIFO in primary commit order, so the
-pending-queue head is always claimed by some worker before any later
-commit, and each worker still blocks until its record reaches the head.
+Every commit record forks its own applicator process (the paper's
+"spawn an applicator thread").  Multiple applicators run concurrently,
+which is the whole point: the refresher exploits the local SI
+concurrency control instead of replaying the log serially.  ``serial``
+mode, the ablation baseline, joins each applicator before reading the
+next record (the ablation benchmark quantifies the difference).
 
 The applicator additionally maintains ``seq(DBsec)`` for
 ALG-STRONG-SESSION-SI: immediately after R commits — and before the commit
@@ -43,11 +33,11 @@ record is removed from the pending queue — it sets ``seq(DBsec)`` to
 
 Dependency-tracked parallel refresh
 -----------------------------------
-Both of the modes above commit refresh transactions strictly in primary
-commit order, so apply parallelism never exceeds 1: every worker but the
-pending-queue head is blocked.  ``parallel`` workers instead run a
-conflict-graph scheduler over the dependency summary the propagator now
-ships with each commit (C5-style out-of-order apply):
+The FIFO refresher above commits refresh transactions strictly in
+primary commit order, so commit parallelism never exceeds 1: every
+applicator but the pending-queue head is blocked.  ``parallel`` workers
+instead run a conflict-graph scheduler over the dependency summary the
+propagator ships with each commit (C5-style out-of-order apply):
 
 * a commit record becomes **runnable** once every conflicting
   predecessor — computed from the shipped write-set key fingerprints
@@ -107,32 +97,26 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Refresher:
-    """The refresh process plus its applicator pool at one secondary."""
+    """The refresh process plus its applicators at one secondary."""
 
     def __init__(self, kernel: Kernel, site: "SecondarySite",
-                 serial: bool = False, pool_size: Optional[int] = None,
+                 serial: bool = False,
                  parallel: Optional[int] = None,
                  apply_cost: float = 0.0):
-        if pool_size is not None and pool_size < 1:
-            raise ReplicationError("applicator pool size must be >= 1")
         if parallel is not None and parallel < 1:
             raise ReplicationError("parallel refresh worker count must "
                                    "be >= 1")
-        if parallel is not None and (serial or pool_size is not None):
+        if parallel is not None and serial:
             raise ReplicationError(
-                "parallel refresh excludes serial/pooled FIFO modes")
+                "parallel refresh excludes serial refresh")
         if apply_cost < 0:
             raise ReplicationError("refresh apply cost must be >= 0")
         self.kernel = kernel
         self.site = site
         #: Serial mode applies each transaction to completion before
         #: processing the next record — the naive log-sequence replay the
-        #: paper argues against (used by the ablation study).  Serial
-        #: replay never uses the pool.
+        #: paper argues against (used by the ablation study).
         self.serial = serial
-        #: Reusable-applicator pool size; ``None`` keeps the classic
-        #: spawn-per-commit behaviour (bit-identical to the pre-pool code).
-        self.pool_size = None if serial else pool_size
         #: Dependency-tracked out-of-order worker count; ``None`` keeps
         #: the strict-FIFO commit order of the other modes.
         self.parallel = parallel
@@ -145,9 +129,7 @@ class Refresher:
         self._refresh_txns: dict[int, object] = {}
         self._applicators: list[Process] = []
         self._workers: list[Process] = []
-        self._work: Optional[Queue] = None
         self._busy_workers = 0
-        self._notify_scheduled = False
         # -- conflict-graph scheduler state (parallel mode only) --------
         #: Runnable commit records, claimable by any worker.
         self._runnable: Optional[Queue] = None
@@ -174,9 +156,6 @@ class Refresher:
         #: commit_ts -> ``shard_seqs`` wire metadata, consumed when the
         #: commit becomes visible (sharded parallel mode only).
         self._shard_meta: dict[int, tuple] = {}
-        #: Incarnation counter: bumped on stop() so notify callbacks
-        #: scheduled by a crashed incarnation are no-ops after restart.
-        self._epoch = 0
         #: Newest primary commit_ts accepted into the pending queue.
         #: Together with ``seq(DBsec)`` this is the replay high-water
         #: mark: commit records at or below it are redeliveries.
@@ -184,9 +163,6 @@ class Refresher:
         self.refreshes_applied = 0
         self.stale_records_dropped = 0
         self.max_concurrent_applicators = 0
-        #: Coalesced pending-queue notifications actually issued (pooled
-        #: mode only; the spawn-per-commit path notifies per transition).
-        self.coalesced_notifies = 0
         #: Refresh transactions committed at a timestamp beyond
         #: watermark+1 (parallel mode): actual out-of-order applies.
         self.out_of_order_commits = 0
@@ -220,16 +196,6 @@ class Refresher:
                     daemon=True)
                 for i in range(self.parallel)
             ]
-        elif self.pool_size is not None:
-            self._work = Queue(self.kernel,
-                               name=f"{self.site.name}-applicator-work")
-            self._workers = [
-                self.kernel.spawn(
-                    self._worker(),
-                    name=f"applicator-pool@{self.site.name}:{i}",
-                    daemon=True)
-                for i in range(self.pool_size)
-            ]
 
     def stop(self) -> None:
         """Kill the refresher and all in-flight applicators (site crash)."""
@@ -242,9 +208,6 @@ class Refresher:
         for worker in self._workers:
             self.kernel.kill(worker)
         self._workers.clear()
-        if self._work is not None:
-            self._work.drain()
-            self._work = None
         if self._runnable is not None:
             self._runnable.drain()
             self._runnable = None
@@ -257,8 +220,6 @@ class Refresher:
         self._admitted.clear()
         self._shard_meta.clear()
         self._busy_workers = 0
-        self._notify_scheduled = False
-        self._epoch += 1
         self.pending.clear()
         self._refresh_txns.clear()
         self._max_enqueued_ts = 0
@@ -361,8 +322,8 @@ class Refresher:
                 if record.commit_ts in self.pending \
                         or record.commit_ts in self._inflight:
                     # The original commit is still queued for
-                    # application (pooled work-queue backlog or the
-                    # parallel scheduler's in-flight set): its refresh
+                    # application (FIFO pending queue or the parallel
+                    # scheduler's in-flight set): its refresh
                     # transaction is live and owned by an applicator,
                     # so only the duplicate is dropped.
                     self.stale_records_dropped += 1
@@ -398,21 +359,18 @@ class Refresher:
             self.pending.append(record.commit_ts)
             if len(self.pending) > self.peak_pending:
                 self.peak_pending = len(self.pending)
-            if self._work is not None:
-                self._work.put(record)
-            else:
-                applicator = self.kernel.spawn(
-                    self._apply(record),
-                    name=f"applicator@{self.site.name}:{record.txn_id}",
-                    daemon=True)
-                self._applicators.append(applicator)
-                self.max_concurrent_applicators = max(
-                    self.max_concurrent_applicators,
-                    sum(1 for a in self._applicators if a.alive))
-                if self.serial:
-                    yield applicator.join()
-                self._applicators = [a for a in self._applicators
-                                     if a.alive]
+            applicator = self.kernel.spawn(
+                self._apply(record),
+                name=f"applicator@{self.site.name}:{record.txn_id}",
+                daemon=True)
+            self._applicators.append(applicator)
+            self.max_concurrent_applicators = max(
+                self.max_concurrent_applicators,
+                sum(1 for a in self._applicators if a.alive))
+            if self.serial:
+                yield applicator.join()
+            self._applicators = [a for a in self._applicators
+                                 if a.alive]
         elif isinstance(record, PropagatedAbort):
             txn = self._refresh_txns.pop(record.txn_id, None)
             if txn is not None:
@@ -484,9 +442,9 @@ class Refresher:
                 self.max_concurrent_applicators = self._busy_workers
             txn = self._refresh_txns.pop(record.txn_id, None)
             if txn is None:
-                # Defensive mirror of the pooled path: the refresh
-                # transaction vanished, so retire the commit unapplied —
-                # its dependents (and the watermark) must not wedge.
+                # Defensive: the refresh transaction vanished, so retire
+                # the commit unapplied — its dependents (and the
+                # watermark) must not wedge.
                 self.stale_records_dropped += 1
                 self._mark_applied(record.commit_ts)
                 self._busy_workers -= 1
@@ -588,74 +546,4 @@ class Refresher:
         self.site.set_seq_db(record.commit_ts)
         self.pending.popleft()
         self.refreshes_applied += 1
-        self.pending_cond.notify_all()
-
-    # -- pooled applicators ---------------------------------------------------
-    def _worker(self):
-        """One reusable applicator: drains the work queue forever.
-
-        Work items arrive in primary commit order (the work queue is
-        FIFO and the refresher enqueues in log order), so the worker set
-        always holds the pending-queue head once it is claimed —
-        a bounded pool can therefore never deadlock on the head wait.
-        """
-        pending = self.pending
-        while True:
-            record = yield self._work.get()
-            self._busy_workers += 1
-            if self._busy_workers > self.max_concurrent_applicators:
-                self.max_concurrent_applicators = self._busy_workers
-            txn = self._refresh_txns.pop(record.txn_id, None)
-            if txn is None:
-                # Defensive: the refresh transaction vanished (e.g. a
-                # racing redelivery aborted it before this record was
-                # dequeued).  Still retire its pending-queue entry so
-                # the head keeps advancing and the pool cannot wedge.
-                if record.commit_ts in pending:
-                    if pending[0] != record.commit_ts:
-                        yield self.pending_cond.wait_for(
-                            lambda: pending
-                            and pending[0] == record.commit_ts)
-                    pending.popleft()
-                    self._signal()
-                self.stale_records_dropped += 1
-                self._busy_workers -= 1
-                continue
-            if self.apply_cost > 0.0 and record.updates:
-                yield self.kernel.sleep(
-                    self.apply_cost * len(record.updates))
-            txn.apply_update_records(record.updates)
-            if not (pending and pending[0] == record.commit_ts):
-                yield self.pending_cond.wait_for(
-                    lambda: pending and pending[0] == record.commit_ts)
-            self._commit_refresh(txn, record)
-            self.site.set_seq_db(record.commit_ts)
-            pending.popleft()
-            self.refreshes_applied += 1
-            self._busy_workers -= 1
-            self._signal()
-
-    def _signal(self) -> None:
-        """Coalesced pending-queue notification.
-
-        Several refresh transactions can commit at the same virtual
-        instant; instead of one ``notify_all`` per transition, schedule a
-        single notification for the instant and let it re-evaluate every
-        waiter once.
-        """
-        if self._notify_scheduled or not self.pending_cond.waiting:
-            return
-        self._notify_scheduled = True
-        epoch = self._epoch
-        self.kernel.call_at(self.kernel.now,
-                            lambda: self._do_notify(epoch))
-
-    def _do_notify(self, epoch: int) -> None:
-        if epoch != self._epoch:
-            # Scheduled by an incarnation that has since been stopped
-            # (same-instant crash/restart); the restarted refresher
-            # owns its own notifications.
-            return
-        self._notify_scheduled = False
-        self.coalesced_notifies += 1
         self.pending_cond.notify_all()

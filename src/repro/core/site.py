@@ -161,7 +161,6 @@ class SecondarySite:
 
     def __init__(self, kernel: Kernel, name: str, recorder: Any = None,
                  serial_refresh: bool = False,
-                 applicator_pool: Optional[int] = None,
                  parallel_refresh: Optional[int] = None,
                  refresh_apply_cost: float = 0.0,
                  subscription: Optional[frozenset] = None,
@@ -194,7 +193,6 @@ class SecondarySite:
         #: before the failure are discarded on arrival.
         self.epoch = 0
         self.refresher = Refresher(kernel, self, serial=serial_refresh,
-                                   pool_size=applicator_pool,
                                    parallel=parallel_refresh,
                                    apply_cost=refresh_apply_cost)
         self.records_dropped = 0

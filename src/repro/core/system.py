@@ -901,12 +901,6 @@ class ReplicatedSystem:
     serial_refresh:
         Apply refresh transactions serially instead of concurrently
         (the ablation baseline; default off).
-    applicator_pool:
-        Optional size of a reusable applicator pool per secondary.  When
-        set, commit records are drained by that many long-lived worker
-        processes (no per-commit process creation) and pending-queue
-        wakeups are coalesced; ``None`` (the default) keeps the classic
-        spawn-per-commit refresher, bit-identical to earlier versions.
     parallel_refresh:
         Optional worker count enabling **dependency-tracked parallel
         refresh** at every secondary: commit records carry write-set
@@ -915,9 +909,8 @@ class ReplicatedSystem:
         out of primary order, and ``seq(DBsec)`` advances only at the
         contiguous-applied watermark so every externally visible
         snapshot is still some primary state S^i.  Mutually exclusive
-        with ``serial_refresh``/``applicator_pool``; ``None`` (the
-        default) keeps the strict-FIFO refreshers, bit-identical to
-        earlier versions.
+        with ``serial_refresh``; ``None`` (the default) keeps the
+        strict-FIFO refresher, bit-identical to earlier versions.
     refresh_apply_cost:
         Virtual-time cost charged per update operation while applying a
         refresh transaction (models the secondary's apply work; the
@@ -1004,7 +997,6 @@ class ReplicatedSystem:
                  record_history: bool = True,
                  history_detail: str = "ops",
                  serial_refresh: bool = False,
-                 applicator_pool: Optional[int] = None,
                  parallel_refresh: Optional[int] = None,
                  refresh_apply_cost: float = 0.0,
                  autovacuum_interval: Optional[float] = None,
@@ -1038,7 +1030,6 @@ class ReplicatedSystem:
             SecondarySite(self.kernel, name=f"secondary-{i + 1}",
                           recorder=self.recorder,
                           serial_refresh=serial_refresh,
-                          applicator_pool=applicator_pool,
                           parallel_refresh=parallel_refresh,
                           refresh_apply_cost=refresh_apply_cost,
                           subscription=subscriptions[i],

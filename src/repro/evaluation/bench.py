@@ -19,8 +19,8 @@ tolerance):
   over a generated 10k-commit, 5-secondary history, plus the recorded
   history's approximate byte size;
 * **parallel refresh** (schema 4) — secondary apply throughput and
-  replication lag of the dependency-tracked parallel scheduler vs the
-  FIFO applicator pool at 1/2/4/8 workers under the 80/20 and 95/5
+  replication lag of the dependency-tracked parallel scheduler at
+  1/2/4/8 workers vs the FIFO refresher under the 80/20 and 95/5
   transaction mixes.  These legs run in *virtual* time, so the numbers
   are deterministic per seed (they measure scheduling, not the host);
 * **kernel scheduler** (schema 5) — dispatch microbench under the
@@ -68,8 +68,11 @@ from repro.evaluation.runner import figure_series, run_sweep, write_csv
 #: fraction 1/2 vs full replication on the 95/5 mix.  Schema 7 adds
 #: ``overload``: flash-crowd goodput and read p99 with admission
 #: control on vs off, peak refresh backlog, and exact shed/degraded
-#: accounting (virtual time, deterministic per seed).
-BENCH_SCHEMA = 7
+#: accounting (virtual time, deterministic per seed).  Schema 8 measures
+#: the ``parallel_refresh`` FIFO baseline once, with the default
+#: spawn-per-commit refresher, instead of once per applicator-pool size:
+#: the pool was removed, and its numbers were identical at every size.
+BENCH_SCHEMA = 8
 
 #: Representative Figure 2 point timed per algorithm (100 clients on the
 #: 5-secondary 80/20 clients sweep — mid-load, past the warm-up knee).
@@ -328,7 +331,7 @@ def bench_checkers(commits: int = CHECKER_BENCH_COMMITS,
 
 # -- schema 4: dependency-tracked parallel refresh ---------------------------
 
-#: Worker counts compared (applicator_pool=N vs parallel_refresh=N).
+#: Worker counts of the parallel scheduler compared to the FIFO refresher.
 APPLY_BENCH_WORKERS = (1, 2, 4, 8)
 
 #: Transaction mixes: label -> update-transaction probability.  80/20 is
@@ -382,13 +385,14 @@ def _apply_bench_txns(update_prob: float, seed: int) -> list[list]:
     return txns
 
 
-def _apply_bench_system(mode: str, workers: int):
+def _apply_bench_system(workers: Optional[int]):
+    """One secondary with ``workers`` parallel-refresh workers, or the
+    default FIFO refresher when ``workers`` is ``None``."""
     from repro.core.system import ReplicatedSystem
-    knob = {"applicator_pool": workers} if mode == "fifo" \
-        else {"parallel_refresh": workers}
     return ReplicatedSystem(num_secondaries=1, propagation_delay=0.1,
                             record_history=False,
-                            refresh_apply_cost=APPLY_BENCH_COST, **knob)
+                            parallel_refresh=workers,
+                            refresh_apply_cost=APPLY_BENCH_COST)
 
 
 def _commit_txn(system, updates) -> None:
@@ -398,7 +402,7 @@ def _commit_txn(system, updates) -> None:
     txn.commit()
 
 
-def _drain_throughput(txns: list[list], mode: str, workers: int) -> float:
+def _drain_throughput(txns: list[list], workers: Optional[int]) -> float:
     """Secondary apply throughput (commits per virtual second).
 
     The whole stream is committed at the primary behind a paused
@@ -406,7 +410,7 @@ def _drain_throughput(txns: list[list], mode: str, workers: int) -> float:
     quiescence is pure refresh-pipeline time, uncontaminated by client
     pacing.
     """
-    system = _apply_bench_system(mode, workers)
+    system = _apply_bench_system(workers)
     system.propagator.pause()
     for updates in txns:
         _commit_txn(system, updates)
@@ -416,18 +420,18 @@ def _drain_throughput(txns: list[list], mode: str, workers: int) -> float:
     drained = system.kernel.now - released_at
     if system.secondary_state(0) != system.primary_state():
         raise RuntimeError(           # pragma: no cover - scheduler bug
-            f"apply bench diverged ({mode}, {workers} workers)")
+            f"apply bench diverged ({workers} workers)")
     return len(txns) / drained
 
 
-def _paced_lag(txns: list[list], mode: str, workers: int) -> float:
+def _paced_lag(txns: list[list], workers: Optional[int]) -> float:
     """Mean replication lag (commits behind) under a paced feed.
 
     One update transaction commits every ``APPLY_BENCH_PACE`` virtual
     seconds; lag is sampled right after each commit at the identical
     instants for every configuration.
     """
-    system = _apply_bench_system(mode, workers)
+    system = _apply_bench_system(workers)
     secondary = system.secondaries[0]
     samples = []
     when = 0.0
@@ -441,8 +445,14 @@ def _paced_lag(txns: list[list], mode: str, workers: int) -> float:
     return sum(samples) / len(samples)
 
 
+def _apply_bench_point(txns: list[list], workers: Optional[int]) -> dict:
+    return {"apply_throughput": round(_drain_throughput(txns, workers), 3),
+            "mean_lag": round(_paced_lag(txns, workers), 3)}
+
+
 def bench_parallel_refresh(seed: int = 42) -> dict:
-    """FIFO pool vs dependency-tracked parallel refresh (schema 4)."""
+    """FIFO refresher vs dependency-tracked parallel refresh (schema 4,
+    single FIFO baseline since schema 8)."""
     result: dict = {
         "workers": list(APPLY_BENCH_WORKERS),
         "apply_cost": APPLY_BENCH_COST,
@@ -455,19 +465,13 @@ def bench_parallel_refresh(seed: int = 42) -> dict:
         per_mix: dict = {
             "update_txns": len(txns),
             "update_ops": sum(len(t) for t in txns),
-            "fifo": {},
-            "parallel": {},
+            "fifo": _apply_bench_point(txns, None),
+            "parallel": {str(workers): _apply_bench_point(txns, workers)
+                         for workers in APPLY_BENCH_WORKERS},
         }
-        for workers in APPLY_BENCH_WORKERS:
-            for mode in ("fifo", "parallel"):
-                per_mix[mode][str(workers)] = {
-                    "apply_throughput": round(
-                        _drain_throughput(txns, mode, workers), 3),
-                    "mean_lag": round(_paced_lag(txns, mode, workers), 3),
-                }
-        fifo8 = per_mix["fifo"]["8"]["apply_throughput"]
+        fifo = per_mix["fifo"]["apply_throughput"]
         par8 = per_mix["parallel"]["8"]["apply_throughput"]
-        per_mix["throughput_speedup_at_8"] = round(par8 / fifo8, 2)
+        per_mix["throughput_speedup_at_8"] = round(par8 / fifo, 2)
         result["mixes"][mix] = per_mix
     return result
 
@@ -980,15 +984,15 @@ def run_bench(jobs: Optional[int] = None, out: Optional[Path] = None,
     print(f"  history: {checker_timings['history_events']} events, "
           f"{checker_timings['history_bytes'] / 1e6:.1f} MB")
 
-    print("Benchmarking parallel refresh vs FIFO pool "
+    print("Benchmarking parallel refresh vs FIFO refresher "
           f"(workers {APPLY_BENCH_WORKERS}) ...")
     parallel_refresh = bench_parallel_refresh(seed=seed)
     for mix, stats in parallel_refresh["mixes"].items():
-        fifo8 = stats["fifo"]["8"]
+        fifo = stats["fifo"]
         par8 = stats["parallel"]["8"]
         print(f"  {mix:<6} {stats['update_txns']} txns: "
-              f"fifo {fifo8['apply_throughput']:.1f} c/s "
-              f"(lag {fifo8['mean_lag']:.1f}) vs parallel "
+              f"fifo {fifo['apply_throughput']:.1f} c/s "
+              f"(lag {fifo['mean_lag']:.1f}) vs parallel "
               f"{par8['apply_throughput']:.1f} c/s "
               f"(lag {par8['mean_lag']:.1f}) at 8 workers "
               f"-> {stats['throughput_speedup_at_8']:.2f}x")

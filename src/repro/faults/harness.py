@@ -101,10 +101,9 @@ class ChaosConfig:
     suspicion_timeout: float = 8.0
     lease_duration: float = 12.0
     #: Throughput knobs (all default-off so classic chaos runs are
-    #: bit-identical): propagation batching cycle, reusable applicator
-    #: pool size, and per-site autovacuum cadence.
+    #: bit-identical): propagation batching cycle and per-site
+    #: autovacuum cadence.
     batch_interval: Optional[float] = None
-    applicator_pool: Optional[int] = None
     autovacuum_interval: Optional[float] = None
     #: Dependency-tracked parallel refresh (workers per secondary) and
     #: per-update-op virtual apply cost.  A nonzero cost is what makes
@@ -486,7 +485,6 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
         num_secondaries=config.num_secondaries,
         propagation_delay=config.propagation_delay,
         batch_interval=config.batch_interval,
-        applicator_pool=config.applicator_pool,
         parallel_refresh=config.parallel_refresh,
         refresh_apply_cost=config.refresh_apply_cost,
         autovacuum_interval=config.autovacuum_interval,

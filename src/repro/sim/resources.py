@@ -94,7 +94,6 @@ class ProcessorSharingServer:
         Process, no resume event — the callback runs synchronously inside
         the completion event (or immediately for zero demand), at the
         exact instant a process-based ``request`` would have resumed.
-        The callback must not re-enter ``request_call`` on this server.
         """
         if demand < 0:
             raise SimulationError(f"negative service demand {demand}")
@@ -282,7 +281,8 @@ class _QueuedServer:
     def __init__(self, kernel: Kernel, name: str = "server"):
         self.kernel = kernel
         self.name = name
-        self._queue: deque[list] = deque()    # [process, remaining]
+        #: [process or (fn, args), remaining demand]
+        self._queue: deque[list] = deque()
         self._worker: Optional[Process] = None
         self.jobs_completed = 0
         self.busy_time = 0.0
@@ -292,6 +292,21 @@ class _QueuedServer:
             raise SimulationError(f"negative service demand {demand}")
         return _SlottedRequest(self, demand)
 
+    def request_call(self, demand: float, fn, *args) -> None:
+        """Admit a job that invokes ``fn(*args)`` on completion.
+
+        The zero-process twin of :meth:`request`, with the same contract
+        as :meth:`ProcessorSharingServer.request_call`: the callback runs
+        at the instant a process-based ``request`` of equal demand would
+        have resumed, or immediately for zero demand.
+        """
+        if demand < 0:
+            raise SimulationError(f"negative service demand {demand}")
+        if demand == 0:
+            fn(*args)
+            return
+        self._enqueue((fn, args), demand)
+
     @property
     def active_jobs(self) -> int:
         return len(self._queue)
@@ -299,8 +314,8 @@ class _QueuedServer:
     def utilization(self, elapsed: float) -> float:
         return self.busy_time / elapsed if elapsed > 0 else 0.0
 
-    def _enqueue(self, process: Process, demand: float) -> None:
-        self._queue.append([process, demand])
+    def _enqueue(self, target, demand: float) -> None:
+        self._queue.append([target, demand])
         if self._worker is None or not self._worker.alive:
             self._worker = self.kernel.spawn(
                 self._serve(), name=f"{self.name}-worker", daemon=True)
@@ -308,6 +323,15 @@ class _QueuedServer:
     def _remove(self, process: Process) -> None:
         self._queue = deque(job for job in self._queue
                             if job[0] is not process)
+
+    def _finish(self, target) -> None:
+        """Complete one job: resume its process or call its callback."""
+        self.jobs_completed += 1
+        if target.__class__ is tuple:
+            fn, args = target
+            fn(*args)
+        else:
+            self.kernel._post(target, None)
 
     def _serve(self):  # pragma: no cover - overridden
         raise NotImplementedError
@@ -327,14 +351,13 @@ class RoundRobinServer(_QueuedServer):
     def _serve(self):
         while self._queue:
             job = self._queue.popleft()
-            process, remaining = job
+            target, remaining = job
             quantum = min(self.time_slice, remaining)
             yield self.kernel.sleep(quantum)
             self.busy_time += quantum
             remaining -= quantum
             if remaining <= 1e-12:
-                self.jobs_completed += 1
-                self.kernel._post(process, None)
+                self._finish(target)
             else:
                 job[1] = remaining
                 self._queue.append(job)
@@ -345,8 +368,7 @@ class FifoServer(_QueuedServer):
 
     def _serve(self):
         while self._queue:
-            process, demand = self._queue.popleft()
+            target, demand = self._queue.popleft()
             yield self.kernel.sleep(demand)
             self.busy_time += demand
-            self.jobs_completed += 1
-            self.kernel._post(process, None)
+            self._finish(target)

@@ -1,6 +1,6 @@
 """The discrete-event model of Section 5, process by process.
 
-Components (all kernel processes on virtual time):
+Components (on virtual time):
 
 * **clients** — each bound to one secondary; runs sessions of exponential
   length, thinks exponentially between transactions, then submits an
@@ -13,11 +13,14 @@ Components (all kernel processes on virtual time):
 * **propagator** — accumulates start/commit/abort records and ships them
   to every secondary each ``propagation_delay`` cycle (a log sniffer: it
   uses no concurrency control and no modelled network resource);
-* **refresher + applicators** — per secondary; enforce relationships 1-3
-  exactly like :mod:`repro.core.refresh`: start records block until the
-  pending queue is empty, updates are applied by concurrent applicator
-  threads that consume secondary server capacity, commits happen in
-  primary commit order, and each commit advances ``seq(DBsec)``;
+* **refresh** — per secondary; enforces relationships 1-3 exactly like
+  :mod:`repro.core.refresh`, as a state machine the propagator feeds by
+  direct call (no refresher or applicator processes): a start record
+  waits until the pending queue is empty, each commit record's updates
+  are a job on the secondary server whose completion callback commits
+  in primary commit order, and each commit advances ``seq(DBsec)``.
+  ``serial_refresh`` (the ablation baseline) also waits after each
+  commit until it has been applied;
 * **ALG blocking rule** — a read-only transaction captures its required
   sequence number at submission (``0`` for ALG-WEAK-SI, ``seq(c)`` for
   ALG-STRONG-SESSION-SI, the global sequence for ALG-STRONG-SI) and waits
@@ -35,10 +38,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Union
 
-from repro.core.admission import TokenBucket
 from repro.core.sessions import SequenceTracker
 from repro.errors import ConfigurationError
-from repro.kernel import Condition, Kernel, Queue, Sleep
+from repro.kernel import Condition, Kernel, Sleep
 from repro.sim.rng import RandomStream, RandomStreams
 from repro.sim.resources import (
     FifoServer,
@@ -66,12 +68,6 @@ class _CommitRecord:
     txn_key: int
     commit_ts: int
     update_ops: int
-    #: Commit number of the latest earlier commit this one conflicts
-    #: with (0: none).  Only nonzero under ``parallel_refresh``.
-    dep_ts: int = 0
-    #: Shard the transaction's write set falls in.  Only meaningful
-    #: under ``params.shards``; 0 otherwise.
-    shard: int = 0
 
 
 class _SecondaryModel:
@@ -80,39 +76,20 @@ class _SecondaryModel:
     def __init__(self, kernel: Kernel, index: int, server: Server):
         self.index = index
         self.server = server
-        self.update_queue = Queue(kernel, name=f"sec{index}-updates")
         self.seq_db = 0
         self.seq_cond = Condition(kernel, name=f"sec{index}-seq")
         self.pending: deque[int] = deque()
-        self.pending_cond = Condition(kernel, name=f"sec{index}-pending")
         self.started: set[int] = set()
-        #: Shards this secondary subscribes to under partial replication;
-        #: ``None`` (classic full replication) applies every commit.  An
-        #: unsubscribed commit still advances ``seq(DBsec)`` — only its
-        #: apply demand is zero, mirroring the functional system's
-        #: per-shard streams (headers are sequenced, bodies filtered).
-        self.subscription: frozenset[int] | None = None
         #: Commit numbers whose update service finished but which are not
-        #: yet at the pending head (zero-process apply path).
+        #: yet at the pending head.
         self.serviced: set[int] = set()
-        # -- direct-feed refresh state (classic mode + PS servers) ------
-        #: True when propagation batches are applied by direct call
-        #: instead of through update_queue + a refresher process.
-        self.direct_feed = False
-        #: (batch, index) of a start record waiting for pending to drain.
+        #: (batch, index) of the record to resume at once pending drains.
         self.feed_parked: tuple | None = None
-        #: Batches queued behind a parked start record.
+        #: Batches queued behind a parked cursor.
         self.feed_backlog: deque = deque()
         #: Running peak of len(pending) (mirrors counters.max_pending).
         self.feed_peak = 0
         self.refreshes_applied = 0
-        # -- pool / parallel-refresh state (dormant in classic mode) ----
-        self.work: Queue | None = None
-        self.applied: set[int] = set()
-        self.parked: dict[int, list[_CommitRecord]] = {}
-        self.watermark = 0
-        self.inflight = 0
-        self.out_of_order = 0
 
 
 @dataclass
@@ -124,14 +101,6 @@ class ModelCounters:
     records_propagated: int = 0
     propagation_cycles: int = 0
     sessions_started: int = 0
-    vacuum_passes: int = 0
-    heartbeats_sent: int = 0
-    #: Commit records applied with zero demand because the secondary did
-    #: not subscribe to their shard (partial replication only).
-    sharded_skips: int = 0
-    #: Update transactions shed at the door by the admission token
-    #: bucket (``admission_rate`` only) — zero demand, zero RNG draws.
-    updates_shed: int = 0
     max_pending: dict[int, int] = field(default_factory=dict)
 
 
@@ -154,31 +123,6 @@ class LazyReplicationModel:
         ]
         self._commit_counter = 0
         self._txn_counter = 0
-        # Conflict dependencies are drawn from a dedicated stream, and
-        # only when parallel refresh is on, so every other
-        # configuration's random sequences stay byte-identical.
-        self._conflict_rng = (self.streams.stream("conflicts")
-                              if params.parallel_refresh is not None
-                              else None)
-        # Shard stamps likewise come from a dedicated stream, drawn only
-        # when partial replication is on, and each secondary subscribes
-        # to a contiguous rotated window of whole shards.
-        self._shard_rng = (self.streams.stream("shards")
-                           if params.shards is not None else None)
-        if params.shards is not None:
-            width = max(1, round(params.shards
-                                 * params.subscription_fraction))
-            for secondary in self.secondaries:
-                secondary.subscription = frozenset(
-                    (secondary.index + offset) % params.shards
-                    for offset in range(width))
-        # Admission control at the primary: a purely arithmetic token
-        # bucket (no kernel events, no RNG), so every configuration with
-        # admission_rate=None is bit-identical to earlier versions.
-        self._admission_bucket = (
-            TokenBucket(params.admission_rate,
-                        max(params.admission_rate, 1.0))
-            if params.admission_rate is not None else None)
         self._propagation_buffer: list = []
         self._session_counter = 0
         #: Sampled replication lag (commits behind the primary) across all
@@ -217,62 +161,8 @@ class LazyReplicationModel:
         self.kernel.spawn(self._propagator(), name="propagator", daemon=True)
         self.kernel.spawn(self._lag_sampler(), name="lag-sampler",
                           daemon=True)
-        params = self.params
-        classic = (params.parallel_refresh is None
-                   and params.applicator_pool is None
-                   and not params.serial_refresh)
-        for secondary in self.secondaries:
-            if classic and hasattr(secondary.server, "request_call"):
-                # Classic refresh on PS servers needs no refresher
-                # process: batches are applied by direct call from the
-                # propagator (zero-process refresh path).
-                secondary.direct_feed = True
-            else:
-                self.kernel.spawn(self._refresher(secondary),
-                                  name=f"refresher-{secondary.index}",
-                                  daemon=True)
-        if self.params.autovacuum_interval is not None:
-            for secondary in self.secondaries:
-                self.kernel.spawn(self._autovacuum(secondary),
-                                  name=f"autovacuum-{secondary.index}",
-                                  daemon=True)
-        if self.params.heartbeat_interval is not None:
-            for secondary in self.secondaries:
-                self.kernel.spawn(self._heartbeat(secondary),
-                                  name=f"heartbeat-{secondary.index}",
-                                  daemon=True)
         self.kernel.run(until=self.params.duration)
         return self.metrics
-
-    def _autovacuum(self, secondary: _SecondaryModel):
-        """Periodic storage-maintenance pass at one secondary server.
-
-        The simulation has no real version store; the daemon models the
-        maintenance cost as a fixed service demand each cycle, contending
-        with refresh and read work exactly like any other request.
-        """
-        params = self.params
-        while True:
-            yield self.kernel.sleep(params.autovacuum_interval)
-            if params.autovacuum_cost:
-                yield secondary.server.request(params.autovacuum_cost)
-            self.counters.vacuum_passes += 1
-
-    def _heartbeat(self, secondary: _SecondaryModel):
-        """Failure-detector overhead at one secondary server.
-
-        The performance model has no failures to detect; the daemon
-        charges the steady-state cost of the autonomous-failover control
-        plane (processing the primary's heartbeat and granting a lease
-        each cycle), contending with refresh and read work like any
-        other request.
-        """
-        params = self.params
-        while True:
-            yield self.kernel.sleep(params.heartbeat_interval)
-            if params.heartbeat_cost:
-                yield secondary.server.request(params.heartbeat_cost)
-            self.counters.heartbeats_sent += 1
 
     def _lag_sampler(self, interval: float = 5.0):
         """Sample replication lag across secondaries after warm-up."""
@@ -363,14 +253,6 @@ class LazyReplicationModel:
     # -- update transactions (primary) -----------------------------------------------
     def _update_transaction(self, rng: RandomStream, label: str):
         params = self.params
-        bucket = self._admission_bucket
-        if bucket is not None \
-                and not bucket.try_acquire(self.kernel._now):
-            # Shed at the door: no service demand reaches the primary
-            # and — crucially — no RNG draw happens, so the admitted
-            # traffic's random sequences match the unthrottled model's.
-            self.counters.updates_shed += 1
-            return
         submitted = self.kernel._now
         n_ops = rng.randint(params.tran_size_min, params.tran_size_max)
         update_ops = sum(1 for _ in range(n_ops)
@@ -398,18 +280,7 @@ class LazyReplicationModel:
         self._commit_counter += 1
         commit_ts = self._commit_counter
         self.counters.update_commits += 1
-        dep_ts = 0
-        if self._conflict_rng is not None and commit_ts > 1 \
-                and self._conflict_rng.bernoulli(params.conflict_prob):
-            # Conflict with a recent earlier commit (the paper's hotspot
-            # analogue): the refresh scheduler must order the pair.
-            dep_ts = self._conflict_rng.randint(
-                max(1, commit_ts - 8), commit_ts - 1)
-        shard = 0
-        if self._shard_rng is not None:
-            shard = self._shard_rng.randint(0, params.shards - 1)
-        self._propagate(_CommitRecord(txn_key, commit_ts, update_ops,
-                                      dep_ts, shard))
+        self._propagate(_CommitRecord(txn_key, commit_ts, update_ops))
         self.tracker.on_primary_commit(label, commit_ts)
         self.metrics.record_completion("update", submitted, self.kernel._now)
 
@@ -426,26 +297,20 @@ class LazyReplicationModel:
             batch, self._propagation_buffer = self._propagation_buffer, []
             self.counters.propagation_cycles += 1
             self.counters.records_propagated += len(batch)
-            # One queue item per cycle per secondary (the PropagatedBatch
-            # frame of the functional system): a cycle's worth of records
-            # costs one wakeup instead of one per record.  The refresher
-            # iterates the shared list without mutating it.  Direct-feed
-            # secondaries skip even that wakeup: the batch is applied by
-            # synchronous call at the same instant.
+            # The whole cycle is fed to each secondary by synchronous
+            # call at the same instant (the PropagatedBatch frame of the
+            # functional system); refresh iterates the shared list
+            # without mutating it.
             for secondary in self.secondaries:
-                if secondary.direct_feed:
-                    self._feed_batch(secondary, batch)
-                else:
-                    secondary.update_queue.put(batch)
+                self._feed_batch(secondary, batch)
 
     # -- refresh (Algorithms 3.2/3.3) ------------------------------------------------------
     def _feed_batch(self, secondary: _SecondaryModel, batch: list) -> None:
-        """Direct-feed refresh entry point (classic mode, PS servers).
+        """Refresh entry point: one propagation cycle's records.
 
-        Processes the batch inline unless a start record is parked
-        waiting for the pending queue to drain (Relationship 2), in
-        which case the batch queues behind it — exactly the order the
-        refresher process would impose.
+        Processes the batch inline unless the cursor is parked waiting
+        for the pending queue to drain, in which case the batch queues
+        behind it, keeping the records in log order.
         """
         if secondary.feed_parked is not None or secondary.feed_backlog:
             secondary.feed_backlog.append(batch)
@@ -454,18 +319,19 @@ class LazyReplicationModel:
 
     def _drain_records(self, secondary: _SecondaryModel,
                        batch: list, idx: int) -> None:
-        """Apply records until done or a start record must wait.
+        """Apply records until done or the cursor must wait.
 
-        The state machine twin of the classic refresher loop: start
-        records wait for an empty pending queue (here: park the cursor;
-        :meth:`_apply_commit` resumes it), aborts retire their start
-        entry, commits join pending and go straight to the secondary
-        server as zero-process completion callbacks.
+        Algorithm 3.2 as a state machine: a start record waits for an
+        empty pending queue (Relationship 2) by parking the cursor on
+        itself, which :meth:`_apply_commit` resumes; aborts retire their
+        start entry; commits join pending and go to the secondary server
+        as zero-process completion callbacks.  Under ``serial_refresh``
+        the cursor also parks after each commit until it is applied.
         """
         pending = secondary.pending
         started = secondary.started
-        subscription = secondary.subscription
         op_service_time = self.params.op_service_time
+        serial = self.params.serial_refresh
         request_call = secondary.server.request_call
         apply_commit = self._apply_commit
         max_pending = self.counters.max_pending
@@ -485,18 +351,17 @@ class LazyReplicationModel:
                         secondary.feed_peak = peak
                         max_pending[secondary.index] = peak
                     demand = record.update_ops * op_service_time
-                    if subscription is not None \
-                            and record.shard not in subscription:
-                        demand = 0.0
-                        self.counters.sharded_skips += 1
                     if demand:
                         request_call(demand, apply_commit, secondary, ts)
                     else:
                         apply_commit(secondary, ts)
+                    if serial and pending:
+                        # Ablation: naive log-sequence replay — apply
+                        # each transaction to completion before the next.
+                        secondary.feed_parked = (batch, idx + 1)
+                        return
                 elif cls is _StartRecord:
                     if pending:
-                        # Relationship 2: park until pending drains; the
-                        # started.add happens on resume.
                         secondary.feed_parked = (batch, idx)
                         return
                     started.add(record.txn_key)
@@ -508,80 +373,15 @@ class LazyReplicationModel:
             batch = backlog.popleft()
             idx = 0
 
-    def _refresher(self, secondary: _SecondaryModel):
-        # Hot path: locals and a constant spawn name (profiling shows the
-        # per-commit f-string and attribute walks add up at scale).
-        params = self.params
-        parallel = params.parallel_refresh
-        pool = params.applicator_pool
-        serial = params.serial_refresh
-        spawn = self.kernel.spawn
-        pending = secondary.pending
-        started = secondary.started
-        max_pending = self.counters.max_pending
-        applicator_name = f"applicator-{secondary.index}"
-        if parallel is not None or pool is not None:
-            secondary.work = Queue(self.kernel,
-                                   name=f"sec{secondary.index}-work")
-            runner = (self._parallel_worker if parallel is not None
-                      else self._pool_worker)
-            for i in range(parallel if parallel is not None else pool):
-                spawn(runner(secondary), name=f"{applicator_name}:{i}",
-                      daemon=True)
-        sec_index = secondary.index
-        peak = max_pending.get(sec_index, 0)
-        while True:
-            batch = yield secondary.update_queue.get()
-            for record in batch:
-                # Exact-type dispatch: the record types are final and
-                # isinstance() was measurable at one call per record per
-                # secondary.
-                cls = record.__class__
-                if cls is _StartRecord:
-                    # Relationship 2 is enforced by FIFO commit ordering;
-                    # under parallel refresh the conflict scheduler
-                    # provides it instead, so start records never block.
-                    if parallel is None and pending:
-                        yield secondary.pending_cond.wait_for(
-                            lambda: not pending)
-                    started.add(record.txn_key)
-                elif cls is _AbortRecord:
-                    started.discard(record.txn_key)
-                elif parallel is not None:
-                    started.discard(record.txn_key)
-                    secondary.inflight += 1
-                    if secondary.inflight > peak:
-                        peak = max_pending[sec_index] = secondary.inflight
-                    dep = record.dep_ts
-                    if dep > secondary.watermark \
-                            and dep not in secondary.applied:
-                        secondary.parked.setdefault(dep, []).append(record)
-                    else:
-                        secondary.work.put(record)
-                else:
-                    started.discard(record.txn_key)
-                    pending.append(record.commit_ts)
-                    if len(pending) > peak:
-                        peak = max_pending[sec_index] = len(pending)
-                    if pool is not None:
-                        secondary.work.put(record)
-                        continue
-                    applicator = spawn(
-                        self._applicator(secondary, record),
-                        name=applicator_name, daemon=True, eager=True)
-                    if serial:
-                        # Ablation: naive log-sequence replay — apply
-                        # each transaction to completion before the next.
-                        yield applicator.join()
-
     def _apply_commit(self, secondary: _SecondaryModel,
                       commit_ts: int) -> None:
-        """Completion callback of the zero-process apply path.
+        """Completion callback of one commit record's update service.
 
-        Commits strictly in pending (= primary commit) order, exactly
-        like the per-record applicator process: a record whose service
-        finishes out of order parks in ``serviced`` until the head
-        catches up, then the whole contiguous run commits in one go.
+        Commits strictly in pending (= primary commit) order, like
+        Algorithm 3.3's applicators: a record whose service finishes out
+        of order parks in ``serviced`` until the head catches up, then
+        the whole contiguous run commits in one go, advancing
+        ``seq(DBsec)`` (Section 4).
         """
         pending = secondary.pending
         if pending[0] != commit_ts:
@@ -607,100 +407,9 @@ class LazyReplicationModel:
         if not pending:
             parked = secondary.feed_parked
             if parked is not None:
-                # A start record was waiting for this drain: admit it and
-                # continue its batch (direct-feed twin of the refresher
-                # waking from pending_cond).
                 secondary.feed_parked = None
-                batch, idx = parked
-                secondary.started.add(batch[idx].txn_key)
-                self._drain_records(secondary, batch, idx + 1)
-            secondary.pending_cond.notify_all()
+                self._drain_records(secondary, *parked)
         secondary.seq_cond.notify_all()
-
-    def _applicator(self, secondary: _SecondaryModel,
-                    record: _CommitRecord):
-        subscription = secondary.subscription
-        if subscription is not None and record.shard not in subscription:
-            self.counters.sharded_skips += 1
-        elif record.update_ops:
-            yield secondary.server.request(
-                record.update_ops * self.params.op_service_time)
-        # Skip the condition round-trip when already at the head: the
-        # immediate-resume event the wait would schedule is pure overhead.
-        if not (secondary.pending
-                and secondary.pending[0] == record.commit_ts):
-            yield secondary.pending_cond.wait_for(
-                lambda: (secondary.pending
-                         and secondary.pending[0] == record.commit_ts))
-        # Commit R, then advance seq(DBsec) before dequeuing (Section 4).
-        if record.commit_ts > secondary.seq_db:
-            secondary.seq_db = record.commit_ts
-        secondary.pending.popleft()
-        secondary.refreshes_applied += 1
-        secondary.pending_cond.notify_all()
-        secondary.seq_cond.notify_all()
-
-    def _pool_worker(self, secondary: _SecondaryModel):
-        """Long-lived FIFO applicator: applies work-queue records in
-        arrival (= primary commit) order, committing at the pending head
-        exactly like the spawn-per-commit applicator.  Workers dequeue in
-        commit order, so the pending head is always held by some worker
-        and head-of-line blocking cannot deadlock."""
-        params = self.params
-        subscription = secondary.subscription
-        while True:
-            record = yield secondary.work.get()
-            if subscription is not None \
-                    and record.shard not in subscription:
-                self.counters.sharded_skips += 1
-            elif record.update_ops:
-                yield secondary.server.request(
-                    record.update_ops * params.op_service_time)
-            if not (secondary.pending
-                    and secondary.pending[0] == record.commit_ts):
-                yield secondary.pending_cond.wait_for(
-                    lambda: (secondary.pending
-                             and secondary.pending[0] == record.commit_ts))
-            if record.commit_ts > secondary.seq_db:
-                secondary.seq_db = record.commit_ts
-            secondary.pending.popleft()
-            secondary.refreshes_applied += 1
-            secondary.pending_cond.notify_all()
-            secondary.seq_cond.notify_all()
-
-    def _parallel_worker(self, secondary: _SecondaryModel):
-        """Dependency-tracked applicator: applies any runnable commit
-        (conflicting predecessor already applied) out of primary order;
-        ``seq(DBsec)`` advances only at the contiguous watermark so
-        readers still observe primary states in order."""
-        params = self.params
-        subscription = secondary.subscription
-        while True:
-            record = yield secondary.work.get()
-            if subscription is not None \
-                    and record.shard not in subscription:
-                self.counters.sharded_skips += 1
-            elif record.update_ops:
-                yield secondary.server.request(
-                    record.update_ops * params.op_service_time)
-            ts = record.commit_ts
-            applied = secondary.applied
-            applied.add(ts)
-            secondary.inflight -= 1
-            secondary.refreshes_applied += 1
-            if ts != secondary.watermark + 1:
-                secondary.out_of_order += 1
-            watermark = secondary.watermark
-            while watermark + 1 in applied:
-                watermark += 1
-                applied.remove(watermark)
-            if watermark != secondary.watermark:
-                secondary.watermark = watermark
-                if watermark > secondary.seq_db:
-                    secondary.seq_db = watermark
-                    secondary.seq_cond.notify_all()
-            for parked in secondary.parked.pop(ts, ()):
-                secondary.work.put(parked)
 
     # -- diagnostics -----------------------------------------------------------------------
     def primary_utilization(self) -> float:

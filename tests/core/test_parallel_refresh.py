@@ -249,9 +249,6 @@ def test_parallel_knob_validation():
         ReplicatedSystem(num_secondaries=1, parallel_refresh=0)
     with pytest.raises((ConfigurationError, ReplicationError)):
         ReplicatedSystem(num_secondaries=1, parallel_refresh=2,
-                         applicator_pool=2)
-    with pytest.raises((ConfigurationError, ReplicationError)):
-        ReplicatedSystem(num_secondaries=1, parallel_refresh=2,
                          serial_refresh=True)
     with pytest.raises((ConfigurationError, ReplicationError)):
         ReplicatedSystem(num_secondaries=1, refresh_apply_cost=-1.0)

@@ -1,13 +1,11 @@
-"""Equivalence tests for the throughput pipeline knobs.
+"""Equivalence tests for the throughput pipeline.
 
-Batch frame shipping and applicator pooling change *how many events* the
-replication pipeline costs, never *what it computes*: a batched system
-with a zero-length cycle must land in the same state as an unbatched
-one, and a pooled system must be deterministic and pass the same history
-checkers as the classic spawn-per-commit configuration.
+Batch frame shipping changes *how many events* the replication pipeline
+costs, never *what it computes*: a batched system with a zero-length
+cycle must land in the same state as an unbatched one.  The refresher
+must stay deterministic and correct when modelled apply costs leave a
+backlog of commits waiting for the pending-queue head.
 """
-
-import pytest
 
 from repro.core.guarantees import Guarantee
 from repro.core.monitoring import system_status
@@ -18,7 +16,6 @@ from repro.core.records import (
 )
 from repro.core.site import SecondarySite
 from repro.core.system import ReplicatedSystem
-from repro.errors import ReplicationError
 from repro.kernel import Kernel
 from repro.txn.checkers import (
     check_completeness,
@@ -94,69 +91,46 @@ def test_batched_lag_counts_records_not_frames():
 
 
 # ---------------------------------------------------------------------------
-# Pooled applicators
+# Refresh backlogs
 # ---------------------------------------------------------------------------
 
-def test_pool_size_validation():
-    kernel = Kernel()
-    with pytest.raises(ReplicationError):
-        SecondarySite(kernel, name="s", applicator_pool=0)
-
-
-def test_pooled_system_matches_classic_states_and_checkers():
-    classic = run_workload(applicator_pool=None)
-    pooled = run_workload(applicator_pool=4)
-    assert final_states(pooled) == final_states(classic)
-    assert checker_verdicts(pooled) == checker_verdicts(classic)
-    for secondary in pooled.secondaries:
-        assert secondary.refresher.max_concurrent_applicators <= 4
-
-
 def test_pooled_system_is_deterministic():
-    a = run_workload(applicator_pool=2)
-    b = run_workload(applicator_pool=2)
+    a = run_workload(refresh_apply_cost=0.1)
+    b = run_workload(refresh_apply_cost=0.1)
     assert final_states(a) == final_states(b)
     assert system_status(a).report() == system_status(b).report()
     assert a.kernel.now == b.kernel.now
 
 
 def test_batching_and_pooling_together_pass_checkers():
-    """The full throughput configuration still satisfies the paper's
-    guarantees on the recorded history."""
-    system = run_workload(batch_interval=1.0, applicator_pool=4)
+    """The full throughput configuration (batched frames, costly
+    applies) still satisfies the paper's guarantees on the recorded
+    history."""
+    system = run_workload(batch_interval=1.0, refresh_apply_cost=0.1)
     for criterion, ok, checked in checker_verdicts(system):
         assert ok, criterion
-    # All updates were checked, none lost in frames or the work queue.
+    # All updates were checked, none lost in frames or the backlog.
     assert final_states(system)[0] == final_states(system)[1]
     assert system.max_staleness() == 0
 
 
-def test_pool_of_one_serialises_refreshes():
-    """A single worker is a valid (if slow) configuration: commit order
-    still matches primary order, nothing deadlocks."""
-    system = run_workload(applicator_pool=1)
-    assert final_states(system) == final_states(
-        run_workload(applicator_pool=None))
-    for secondary in system.secondaries:
-        assert secondary.refresher.max_concurrent_applicators == 1
-
-
 def test_pooled_duplicate_of_queued_commit_does_not_wedge_pool():
-    """Regression: a redelivered commit whose original is still waiting
-    in the pool work queue must only drop the duplicate.  Aborting the
-    live refresh transaction (the old stale-redelivery behaviour) left
-    the original record with no transaction to apply, killing its worker
-    and orphaning the pending-queue head — a deadlocked secondary."""
+    """Regression: a redelivered commit whose original is still queued
+    for application must only drop the duplicate.  Aborting the live
+    refresh transaction (the old stale-redelivery behaviour) left the
+    original record with no transaction to apply, killing its
+    applicator and orphaning the pending-queue head — a deadlocked
+    secondary."""
     kernel = Kernel()
-    site = SecondarySite(kernel, name="s0", applicator_pool=1)
+    site = SecondarySite(kernel, name="s0", refresh_apply_cost=0.5)
     c2 = PropagatedCommit(txn_id=2, commit_ts=2, updates=(("b", 2, False),))
     site.update_queue.put(PropagatedBatch(records=(
         PropagatedStart(txn_id=1, start_ts=0),
         PropagatedStart(txn_id=2, start_ts=0),
         PropagatedCommit(txn_id=1, commit_ts=1, updates=(("a", 1, False),)),
         c2,
-        # Duplicate delivered while the original still queues behind
-        # commit 1 (the single worker is claimed by commit 1 first).
+        # Duplicate delivered while the original still waits behind
+        # commit 1 at the pending-queue head.
         c2,
     )))
     kernel.run()
@@ -167,22 +141,9 @@ def test_pooled_duplicate_of_queued_commit_does_not_wedge_pool():
     assert site.refresher.stale_records_dropped == 1
 
 
-def test_notify_from_stopped_incarnation_is_noop():
-    """A coalesced-notify callback scheduled before a same-instant
-    crash/restart must not fire against the restarted refresher."""
-    kernel = Kernel()
-    site = SecondarySite(kernel, name="s0", applicator_pool=1)
-    refresher = site.refresher
-    stale_epoch = refresher._epoch
-    refresher.stop()
-    refresher.start()
-    refresher._do_notify(stale_epoch)   # orphaned callback
-    assert refresher.coalesced_notifies == 0
-
-
 def test_pooled_refresher_survives_crash_recovery():
     system = ReplicatedSystem(num_secondaries=2, propagation_delay=1.0,
-                              applicator_pool=3)
+                              refresh_apply_cost=0.5)
     s = system.session(secondary=1)
     s.write("x", 1)
     system.crash_secondary(0)

@@ -335,20 +335,20 @@ def test_fencing_discards_stale_inflight_records():
 
 
 def test_promotion_fences_loaded_applicator_pools():
-    """Promotion while every secondary's pool is mid-drain — commits
-    queued in the work queue, refresh transactions claimed by workers
-    and open in the engine — must not wedge: the fence aborts the open
-    refreshes, counts every queued-but-unapplied record, and the new
-    regime proceeds cleanly."""
-    system = make_system(applicator_pool=2, refresh_apply_cost=0.4)
+    """Promotion while every secondary's applicators are mid-apply —
+    commits queued in the pending queue, refresh transactions claimed
+    by applicators and open in the engine — must not wedge: the fence
+    aborts the open refreshes, counts every queued-but-unapplied
+    record, and the new regime proceeds cleanly."""
+    system = make_system(refresh_apply_cost=1.0)
     session = system.session()
     for i in range(6):
         session.write(f"k{i}", i)
-    # Records arrive at t=1 (propagation delay); each apply costs 0.4 s,
-    # so stopping at t=1.5 catches workers mid-apply with a backlog.
+    # Records arrive at t=1 (propagation delay); each apply costs 1 s,
+    # so stopping at t=1.5 catches applicators mid-apply with a backlog.
     system.run(until=1.5)
     loaded = [s for s in system.secondaries if s.refresher.pending_count]
-    assert loaded, "pools drained early; the scenario needs a backlog"
+    assert loaded, "refreshes drained early; the scenario needs a backlog"
     inflight_refreshes = [
         txn for s in system.secondaries
         for txn in s.engine.active_transactions

@@ -65,10 +65,10 @@ def test_chaos_memory_bounded_with_autovacuum(seed):
 
 
 def test_chaos_survives_full_throughput_pipeline():
-    """Batch shipping + pooled applicators + autovacuum, all enabled,
+    """Batch shipping + costly applies + autovacuum, all enabled,
     under the same fault storm: convergence and checkers must hold."""
     result = run_chaos(ChaosConfig(seed=5, batch_interval=0.5,
-                                   applicator_pool=4,
+                                   refresh_apply_cost=0.02,
                                    autovacuum_interval=5.0))
     assert result.converged, result.describe()
     for check in result.checks:

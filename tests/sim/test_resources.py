@@ -246,3 +246,51 @@ def test_rr_worker_respawns_after_idle(kernel):
     kernel.run()
     assert len(done) == 2
     assert done[-1][0] == "late"
+
+
+# ---------------------------------------------------------------------------
+# Callback jobs on the queued servers (request_call)
+# ---------------------------------------------------------------------------
+
+QUEUED_SERVERS = [
+    pytest.param(lambda k: RoundRobinServer(k, time_slice=0.001), id="rr"),
+    pytest.param(FifoServer, id="fifo"),
+]
+
+
+@pytest.mark.parametrize("make_server", QUEUED_SERVERS)
+def test_request_call_fires_when_request_would_resume(make_server):
+    """A callback job completes at the virtual instant a process
+    ``request`` of equal demand, submitted at the same moment, resumes."""
+    def run(use_call):
+        kernel = Kernel()
+        server = make_server(kernel)
+        done = []
+        kernel.spawn(job(kernel, server, 0.03, done, "other"))
+
+        def submitter():
+            yield kernel.sleep(0.005)
+            if use_call:
+                server.request_call(
+                    0.02, lambda: done.append(("job", kernel.now)))
+            else:
+                yield server.request(0.02)
+                done.append(("job", kernel.now))
+
+        kernel.spawn(submitter())
+        kernel.run()
+        return dict(done)
+
+    called = run(use_call=True)
+    assert called == run(use_call=False)
+    assert called["job"] > 0.025
+
+
+@pytest.mark.parametrize("make_server", QUEUED_SERVERS)
+def test_request_call_zero_demand_calls_back_immediately(make_server):
+    kernel = Kernel()
+    server = make_server(kernel)
+    calls = []
+    server.request_call(0.0, calls.append, "now")
+    assert calls == ["now"]
+    assert server.active_jobs == 0

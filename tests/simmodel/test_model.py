@@ -160,18 +160,15 @@ def test_pcsi_behaves_like_session_si_in_model():
         session.mean_response_time("read"))
 
 
-def test_heartbeat_daemons_dormant_by_default():
-    model, _ = run_model()
-    assert model.counters.heartbeats_sent == 0
-
-
-def test_heartbeat_daemons_consume_service_demand():
-    model, _ = run_model(heartbeat_interval=5.0, heartbeat_cost=0.01)
-    # 2 secondaries x (120s / 5s) cycles, minus start-up slack.
-    assert model.counters.heartbeats_sent >= 40
-
-
-def test_heartbeat_overhead_is_deterministic():
-    _, a = run_model(heartbeat_interval=5.0)
-    _, b = run_model(heartbeat_interval=5.0)
-    assert a.throughput() == b.throughput()
+@pytest.mark.parametrize("discipline", ["ps", "fifo"])
+def test_serial_refresh_applies_one_commit_at_a_time(discipline):
+    """Naive serial replay never has two commits pending at a
+    secondary; concurrent refresh, on the same load, does."""
+    load = dict(update_tran_prob=0.5, clients_per_secondary=10,
+                server_discipline=discipline)
+    serial, _ = run_model(serial_refresh=True, **load)
+    concurrent, _ = run_model(**load)
+    peaks = serial.counters.max_pending
+    assert set(peaks) == {0, 1}
+    assert all(peak <= 1 for peak in peaks.values())
+    assert max(concurrent.counters.max_pending.values()) > 1

@@ -57,6 +57,15 @@ def test_with_total_clients_remainder():
     assert p.num_clients + p.extra_clients == 103
 
 
+def test_with_total_clients_remainder_is_a_field():
+    """The remainder survives ``with_`` copies and takes part in
+    equality, so two populations never compare (or hash) as one."""
+    p = SimulationParameters(num_sec=5).with_total_clients(103)
+    assert p.with_(seed=1).extra_clients == 3
+    assert p != SimulationParameters(num_sec=5).with_total_clients(100)
+    assert len({p, p.with_(extra_clients=0)}) == 2
+
+
 def test_with_total_clients_too_few():
     with pytest.raises(ConfigurationError):
         SimulationParameters(num_sec=5).with_total_clients(3)
@@ -69,8 +78,7 @@ def test_with_total_clients_too_few():
     ("abort_prob", 1.0),
     ("tran_size_min", 0),
     ("server_discipline", "lifo"),
-    ("heartbeat_interval", 0.0),
-    ("heartbeat_cost", -0.5),
+    ("extra_clients", -1),
 ])
 def test_validation_rejects_bad_values(field, value):
     with pytest.raises(ConfigurationError):
